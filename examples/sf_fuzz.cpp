@@ -171,7 +171,7 @@ int main(int argc, char **argv) {
       .option("temporal-degrees", "CSV",
               "temporal degrees to sample (default 1,2,4)")
       .flag("no-parallel", "disable the parallel-engine axis")
-      .flag("no-jit", "disable the jit/auto kernel tiers")
+      .flag("no-jit", "disable the jit kernel tier")
       .flag("no-faults", "disable the fault-plan axis")
       .flag("no-resume", "disable the checkpoint/resume axis")
       .group("replay")

@@ -20,9 +20,6 @@
 //                     diffusion3d, hdiff) instead of a description file
 //   --length N        chain length for the first three workloads
 //   --max-devices N   cap the device axis of the design space
-//   --kernel-engines LIST  comma-separated kernel-execution axis
-//                     (e.g. "specialized,jit,auto"); default keeps the
-//                     base configuration's single tier
 //   --temporal-degrees LIST  comma-separated temporal-blocking axis
 //                     (e.g. "1,2,4,8"); degrees above 1 unroll the
 //                     program's time loop on-chip (requires time_loop
@@ -81,8 +78,6 @@ int main(int argc, char **argv) {
       .option("max-devices", "N", "cap the device axis of the space")
       .pack(cli::tuneFlagSpecs())
       .group("output")
-      .option("kernel-engines", "LIST",
-              "comma-separated kernel-execution axis, e.g. specialized,jit")
       .option("temporal-degrees", "LIST",
               "comma-separated temporal-blocking axis, e.g. 1,2,4,8")
       .option("json", "FILE", "write the machine-readable TuningReport")
@@ -122,8 +117,8 @@ int main(int argc, char **argv) {
         static_cast<int>(Args->getInt("max-devices", 8));
 
   // The unified --tune-* spellings (support/Args.h tuneFlagSpecs);
-  // --tune-beam and --kernel-engines are search-axis overrides beyond the
-  // fluent Session knobs, so the options block is assembled explicitly.
+  // --tune-beam and --temporal-degrees are search-axis overrides beyond
+  // the fluent Session knobs, so the options block is assembled explicitly.
   tuner::TuneOptions Opts;
   Opts.Search.CandidateBudget =
       static_cast<int>(Args->getInt("tune-budget", 64));
@@ -133,17 +128,6 @@ int main(int argc, char **argv) {
   Opts.TopK = static_cast<int>(Args->getInt("tune-top-k", 3));
   Opts.Workers = static_cast<int>(Args->getInt("tune-workers", 0));
   Opts.Simulate = !Args->has("no-simulate");
-  if (Args->has("kernel-engines")) {
-    for (const std::string &Name :
-         splitString(Args->getString("kernel-engines"), ',')) {
-      Expected<compute::KernelEngine> Engine = compute::parseKernelEngine(Name);
-      if (!Engine) {
-        std::fprintf(stderr, "error: %s\n", Engine.message().c_str());
-        return 1;
-      }
-      Opts.Space.KernelEngines.push_back(*Engine);
-    }
-  }
   if (Args->has("temporal-degrees")) {
     for (const std::string &Token :
          splitString(Args->getString("temporal-degrees"), ',')) {

@@ -45,8 +45,6 @@ const char *compute::kernelEngineName(KernelEngine Engine) {
     return "specialized";
   case KernelEngine::Jit:
     return "jit";
-  case KernelEngine::Auto:
-    return "auto";
   }
   return "<invalid>";
 }
@@ -54,16 +52,13 @@ const char *compute::kernelEngineName(KernelEngine Engine) {
 Expected<KernelEngine> compute::parseKernelEngine(std::string_view Name) {
   if (Name == "scalar")
     return KernelEngine::Scalar;
-  if (Name == "batched")
-    return KernelEngine::Batched;
   if (Name == "specialized")
     return KernelEngine::Specialized;
   if (Name == "jit")
     return KernelEngine::Jit;
-  if (Name == "auto")
-    return KernelEngine::Auto;
-  return makeError("unknown kernel engine '" + std::string(Name) +
-                   "' (expected scalar, batched, specialized, jit, or auto)");
+  return makeError(ErrorCode::InvalidInput,
+                   "unknown kernel engine '" + std::string(Name) +
+                       "' (expected scalar, specialized, or jit)");
 }
 
 namespace {
@@ -598,6 +593,7 @@ bool matchChain(const std::vector<TapeOp> &Ops, int32_t OutReg,
 KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
                                          KernelEngine Engine, int Lanes) {
   assert(Lanes >= 1 && "vector width must be positive");
+  assert(Engine != KernelEngine::Batched && "Batched is an effective tier");
   KernelEvaluator E;
   E.Krn = &Krn;
   E.Lanes = Lanes;
@@ -619,13 +615,8 @@ KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
   // DRE before fusion: dead ops (unreferenced locals, folded operands)
   // would otherwise inflate use counts and block profitable fusions.
   OutReg = eliminateDead(Ops, OutReg);
-  // Every tier above Batched runs on the fused tape; Batched stays unfused
-  // so it keeps measuring the plain one-dispatch-per-OpCode interpreter.
-  bool WantFusion = Engine != KernelEngine::Batched;
-  if (WantFusion) {
-    fuseMulOps(Ops, OutReg);
-    OutReg = eliminateDead(Ops, OutReg); // Drop the consumed Mul ops.
-  }
+  fuseMulOps(Ops, OutReg);
+  OutReg = eliminateDead(Ops, OutReg); // Drop the consumed Mul ops.
 
   E.Tier = KernelEngine::Batched;
   E.OutReg = OutReg;
@@ -633,16 +624,7 @@ KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
   E.TapeLen = Ops.size();
   E.ScratchDoubles = Ops.size() * static_cast<size_t>(Lanes);
 
-  std::vector<ChainTerm> Terms;
-  bool ChainMatched = WantFusion && matchChain(Ops, OutReg, Terms);
-
-  // Resolve Auto to a concrete tier for this kernel's tape shape; tier()
-  // reports the resolved choice, never Auto itself.
-  KernelEngine Want = Engine;
-  if (Engine == KernelEngine::Auto)
-    Want = jit::chooseTierForAuto(Ops.size(), ChainMatched, Lanes);
-
-  if (Want == KernelEngine::Jit) {
+  if (Engine == KernelEngine::Jit) {
     if (jit::JitKernel Code = jit::compileTape(Ops, OutReg, E.Type, Lanes)) {
       E.Tier = KernelEngine::Jit;
       E.JitFn = Code.Fn;
@@ -651,10 +633,11 @@ KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
       E.ScratchDoubles = 0; // Straight-line code: locals live in registers.
       return E;
     }
-    Want = KernelEngine::Specialized; // No compiler (or build failed).
+    // No compiler (or build failed): fall through to Specialized.
   }
 
-  if (Want == KernelEngine::Specialized && ChainMatched) {
+  std::vector<ChainTerm> Terms;
+  if (matchChain(Ops, OutReg, Terms)) {
     E.Tier = KernelEngine::Specialized;
     E.Chain = std::move(Terms);
     E.Specialization = "weighted-sum-chain";
@@ -720,8 +703,6 @@ void KernelEvaluator::evaluate(const double *SoAInputs, double *Out,
   case KernelEngine::Jit:
     JitFn(SoAInputs, Out);
     return;
-  case KernelEngine::Auto:
-    break; // compile() always resolves Auto to a concrete tier.
   }
   assert(false && "unreachable kernel tier");
 }

@@ -12,26 +12,24 @@
 /// dispatch over the whole vector and keeping the register file in
 /// structure-of-arrays layout so the per-lane inner loops autovectorize.
 ///
-/// Four tiers plus a per-unit selection mode, selected by \c KernelEngine:
+/// Three tiers a caller can request, selected by \c KernelEngine, plus one
+/// effective tier that only a fallback reaches:
 ///
 ///  - \b Scalar: delegates to Kernel::evaluate per lane. The reference
 ///    implementation every other tier must match bit-for-bit.
-///  - \b Batched: runs a compiled tape (constant folding, dead-register
-///    elimination, register renumbering) once per vector with one dispatch
-///    per instruction.
-///  - \b Specialized: additionally fuses multiply-add patterns and
-///    pattern-matches pure weighted-sum / Laplacian accumulator chains
-///    (the dominant stencil shape) into a pre-templated native evaluator;
-///    kernels that do not match fall back to the fused batched tape.
+///  - \b Specialized (the default): runs the compiled tape (constant
+///    folding, dead-register elimination, multiply-add fusion, register
+///    renumbering) and pattern-matches pure weighted-sum / Laplacian
+///    accumulator chains (the dominant stencil shape) into a pre-templated
+///    native evaluator.
 ///  - \b Jit: emits one straight-line C++ function for the fused tape at
 ///    runtime, builds it into a shared object with the host toolchain
 ///    (same -ffp-contract=off discipline as this library), and dlopens it
 ///    (compute/Jit.h). No per-instruction dispatch at all; falls back to
 ///    Specialized when no host compiler is available.
-///  - \b Auto: not a tier but a per-unit policy — picks the best tier for
-///    each kernel from its tape shape and the vector width (see
-///    compute/Jit.h for the selection rules). \c tier() always reports
-///    what actually runs.
+///  - \b Batched (effective only): the fused-tape interpreter, one dispatch
+///    per instruction over all lanes. Specialized falls back to it for
+///    tapes with no chain form; \c tier() then reports Batched.
 ///
 /// Bit-exactness contract: every tier performs the same operations in the
 /// same order with the same per-operation rounding (\c roundToType) as the
@@ -59,17 +57,16 @@ namespace compute {
 /// Which kernel execution tier the simulator uses.
 enum class KernelEngine : uint8_t {
   Scalar,      ///< Per-lane reference interpreter (Kernel::evaluate).
-  Batched,     ///< Lane-batched tape interpreter.
-  Specialized, ///< Batched + fusion + weighted-sum chain specialization.
+  Batched,     ///< Fused-tape interpreter; effective tier, never requested.
+  Specialized, ///< Fused tape + weighted-sum chain specialization.
   Jit,         ///< Runtime C++ codegen of the fused tape (compute/Jit.h).
-  Auto         ///< Per-kernel tier selection from tape shape and width.
 };
 
-/// Returns a printable name ("scalar", "batched", "specialized", "jit",
-/// "auto").
+/// Returns a printable name ("scalar", "batched", "specialized", "jit").
 const char *kernelEngineName(KernelEngine Engine);
 
-/// Parses a --kernel-engine value.
+/// Parses a requested tier: "scalar", "specialized" or "jit". Any other
+/// name, "batched" included, is an InvalidInput error.
 Expected<KernelEngine> parseKernelEngine(std::string_view Name);
 
 /// One compiled tape operation. Mirrors compute::OpCode with three fused
@@ -155,17 +152,16 @@ public:
 
   /// Compiles \p Krn for \p Engine at vector width \p Lanes. Never fails:
   /// the Specialized tier degrades to the fused batched tape when no
-  /// specialization pattern matches, the Jit tier degrades to Specialized
-  /// when no host compiler is available (or the runtime compile fails),
-  /// and Auto picks a tier per kernel. The *effective* tier is always
-  /// observable through \c tier().
+  /// specialization pattern matches, and the Jit tier degrades to
+  /// Specialized when no host compiler is available (or the runtime
+  /// compile fails). The *effective* tier is always observable through
+  /// \c tier(). \p Engine must not be Batched.
   static KernelEvaluator compile(const Kernel &Krn, KernelEngine Engine,
                                  int Lanes);
 
   /// The tier that actually executes: compile(Specialized) reports Batched
-  /// when no specialization matched, compile(Jit) reports Specialized or
-  /// Batched when the runtime compile fell back, and compile(Auto) reports
-  /// whatever the per-kernel policy chose. Never reports Auto.
+  /// when no specialization matched, and compile(Jit) reports Specialized
+  /// or Batched when the runtime compile fell back.
   KernelEngine tier() const { return Tier; }
 
   /// Name of the matched specialization ("weighted-sum-chain", "jit"), or
@@ -198,7 +194,7 @@ private:
   int32_t NumInputs = 0;
   size_t ScratchDoubles = 0;
   size_t TapeLen = 0;
-  std::vector<TapeOp> Ops;        ///< Batched tape.
+  std::vector<TapeOp> Ops;        ///< Fused tape (Batched tier).
   std::vector<ChainTerm> Chain;   ///< Specialized chain (if matched).
   std::string_view Specialization; ///< Static string; never dangles.
 

@@ -455,18 +455,3 @@ CacheStats jit::cacheStats() {
   Stats.Entries = C.Entries.size();
   return Stats;
 }
-
-KernelEngine jit::chooseTierForAuto(size_t TapeLen, bool ChainMatched,
-                                    int Lanes) {
-  // A bare Input/Const leaf: the chain evaluator's Init term (or a
-  // two-op batched tape) is already a plain copy — not worth a compile.
-  if (TapeLen <= 1)
-    return KernelEngine::Specialized;
-  // Very short matched chains at W=1 have near-zero dispatch overhead
-  // (bench: 15 ns for the 5-term Laplacian); the JIT's win is amortizing
-  // dispatch over lanes and terms, so spend the compile only when there
-  // is something to amortize.
-  if (Lanes == 1 && ChainMatched && TapeLen <= 4)
-    return KernelEngine::Specialized;
-  return compilerAvailable() ? KernelEngine::Jit : KernelEngine::Specialized;
-}

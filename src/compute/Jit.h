@@ -105,15 +105,6 @@ struct CacheStats {
 };
 CacheStats cacheStats();
 
-/// Per-kernel tier policy for KernelEngine::Auto, decided from the tape
-/// shape and vector width: trivial tapes (a bare Input/Const leaf) and
-/// very short matched chains at W=1 stay on the Specialized tier (the
-/// chain evaluator's setup cost is already near zero there and no compile
-/// is spawned); everything else prefers Jit when a compiler is available,
-/// else Specialized. \p ChainMatched tells the policy whether the tape has
-/// a chain form; \p TapeLen is the fused tape length.
-KernelEngine chooseTierForAuto(size_t TapeLen, bool ChainMatched, int Lanes);
-
 } // namespace jit
 } // namespace compute
 } // namespace stencilflow

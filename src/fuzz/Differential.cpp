@@ -221,6 +221,29 @@ static void clearDirectory(const std::string &Dir) {
   closedir(D);
 }
 
+std::string DiffOptions::scratchDir() const {
+  if (!ScratchDir.empty())
+    return ScratchDir;
+  struct ProcessScratch {
+    std::string Path;
+    ProcessScratch() {
+      const char *Tmp = std::getenv("TMPDIR");
+      std::string Template = std::string(Tmp && *Tmp ? Tmp : "/tmp") +
+                             "/sf_fuzz_scratch.XXXXXX";
+      Path = ::mkdtemp(Template.data())
+                 ? Template
+                 : formatString("sf_fuzz_scratch.%ld",
+                                static_cast<long>(::getpid()));
+    }
+    ~ProcessScratch() {
+      clearDirectory(Path);
+      ::rmdir(Path.c_str());
+    }
+  };
+  static const ProcessScratch Dir;
+  return Dir.Path;
+}
+
 /// True if \p Dir contains at least one regular entry.
 static bool directoryHasFiles(const std::string &Dir) {
   DIR *D = opendir(Dir.c_str());
@@ -435,16 +458,10 @@ std::optional<FuzzFinding> fuzz::runConfig(const StencilProgram &Program,
 /// with (\p HasTimeLoop) time-loop bindings.
 static DiffConfig sampleConfig(Random &Rng,
                                const MatrixOptions &Matrix, bool HasTimeLoop) {
-  static const char *const BaseKernels[] = {"scalar", "batched",
-                                            "specialized"};
-  static const char *const JitKernels[] = {"scalar", "batched", "specialized",
-                                           "jit", "auto"};
+  static const char *const Kernels[] = {"scalar", "specialized", "jit"};
   DiffConfig Config;
   Config.Parallel = Matrix.ParallelEngine && Rng.nextBool(0.5);
-  if (Matrix.JitTiers)
-    Config.Kernel = JitKernels[Rng.nextBounded(5)];
-  else
-    Config.Kernel = BaseKernels[Rng.nextBounded(3)];
+  Config.Kernel = Kernels[Rng.nextBounded(Matrix.JitTiers ? 3 : 2)];
   if (HasTimeLoop && !Matrix.TemporalDegrees.empty())
     Config.TemporalDegree =
         Matrix.TemporalDegrees[Rng.nextBounded(

@@ -7,7 +7,7 @@
 /// \file
 /// The differential half of the fuzzer: run one generated program through
 /// the full pipeline under a seeded matrix of configurations — Serial vs
-/// Parallel engines, every kernel tier (including Jit and Auto), temporal
+/// Parallel engines, every requestable kernel tier (Jit included), temporal
 /// degrees {1, 2, 4}, transient fault plans on/off, and a
 /// checkpoint-then-resume pass that restarts mid-run from a snapshot —
 /// and assert that every single run is bit-exact (FNV-1a CRC over the
@@ -83,7 +83,7 @@ struct DiffConfig {
 /// Which matrix axes are enabled and how densely to sample them.
 struct MatrixOptions {
   bool ParallelEngine = true;
-  bool JitTiers = true; ///< Include the jit and auto kernel tiers.
+  bool JitTiers = true; ///< Include the jit kernel tier.
   bool FaultAxis = true;
   bool ResumeAxis = true;
   std::vector<int> TemporalDegrees = {1, 2, 4};
@@ -117,17 +117,13 @@ struct DiffOptions {
   std::string FindingsDir;
 
   /// Scratch directory for the resume axis' checkpoint snapshots
-  /// (created; cleaned between configurations). Defaults to
-  /// "<FindingsDir>/scratch", or "sf_fuzz_scratch" when FindingsDir is
-  /// empty.
+  /// (created; cleaned between configurations). Defaults to a private
+  /// directory that mkdtemp makes once per process under $TMPDIR (or
+  /// /tmp) and that is removed at exit, so concurrent campaigns and test
+  /// processes never clear or resume from each other's snapshots.
   std::string ScratchDir;
 
-  std::string scratchDir() const {
-    if (!ScratchDir.empty())
-      return ScratchDir;
-    return FindingsDir.empty() ? "sf_fuzz_scratch"
-                               : FindingsDir + "/scratch";
-  }
+  std::string scratchDir() const;
 };
 
 /// FNV-1a over the output fields' names and raw bit patterns, in

@@ -6,7 +6,6 @@
 
 #include "serve/PlanCache.h"
 
-#include "compute/Engine.h"
 #include "frontend/ProgramLoader.h"
 #include "support/StringUtils.h"
 
@@ -39,12 +38,11 @@ std::string PlanKey::id() const {
   // Utilization is quantized to 1/1000 so float formatting noise cannot
   // split keys that request the same value.
   std::string Id =
-      formatString("p%016llx-f%d-s%d-w%d-d%d-u%d-k%s-t%d-b%d",
+      formatString("p%016llx-f%d-s%d-w%d-d%d-u%d-t%d-b%d",
                    static_cast<unsigned long long>(ProgramHash),
                    Fuse ? 1 : 0, Simplify ? 1 : 0, VectorWidth, MaxDevices,
                    static_cast<int>(TargetUtilization * 1000.0 + 0.5),
-                   compute::kernelEngineName(KernelExec), Tuned ? 1 : 0,
-                   Tuned ? TuneBudget : 0);
+                   Tuned ? 1 : 0, Tuned ? TuneBudget : 0);
   // Suffix only above 1: keys of temporally-unblocked plans are stable
   // across the introduction of the knob.
   if (TemporalDegree > 1)

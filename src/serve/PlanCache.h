@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The serving layer's compiled-plan cache: repeat traffic for the same
-/// (program, mapping, kernel engine) skips the pipeline's entire compile
-/// half — parse, fusion, kernel compilation, dataflow/buffer analysis,
-/// tuning, and partitioning — and goes straight to execution.
+/// (program, mapping) skips the pipeline's entire compile half — parse,
+/// fusion, kernel compilation, dataflow/buffer analysis, tuning, and
+/// partitioning — and goes straight to execution.
 ///
 /// Keying is *syntactic*: the program fingerprint is an FNV-1a hash of the
 /// canonical compact JSON rendering of the description, so a cache hit
@@ -16,8 +16,10 @@
 /// differ only in member order or whitespace hash differently — they
 /// simply occupy two entries. The rest of the key covers every request
 /// knob that changes the compiled plan (fusion, simplification, vector
-/// width, device budget, target utilization, autotuning) plus the kernel
-/// execution tier, so no knob can leak a stale plan across requests.
+/// width, device budget, target utilization, autotuning), so no knob can
+/// leak a stale plan across requests. Per-run knobs (kernel tier, engine,
+/// threads, validation) are applied at execution time and stay out of
+/// the key: one plan serves them all.
 ///
 /// Entries are shared immutable plans (\c std::shared_ptr<const
 /// CompiledPlan>): a plan evicted while a request still executes on it
@@ -49,9 +51,9 @@ uint64_t fingerprintProgramJson(const json::Value &Description);
 uint64_t fingerprintProgram(const StencilProgram &Program);
 
 /// Everything that selects a distinct compiled plan: the program
-/// fingerprint, the mapping knobs consumed by the compile half, whether
-/// the mapping was autotuned, and the kernel execution tier. \c id() is
-/// the canonical cache key; any field change changes it.
+/// fingerprint, the mapping knobs consumed by the compile half, and
+/// whether the mapping was autotuned. \c id() is the canonical cache key;
+/// any field change changes it.
 struct PlanKey {
   uint64_t ProgramHash = 0;
   bool Fuse = false;
@@ -63,14 +65,12 @@ struct PlanKey {
   int TemporalDegree = 1;
   int MaxDevices = 8;
   double TargetUtilization = 0.85;
-  compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
   /// Autotuned mapping (and the candidate budget the search ran with —
   /// different budgets may choose different mappings).
   bool Tuned = false;
   int TuneBudget = 0;
 
-  /// Canonical key string, e.g. "p1a2b3c4d5e6f708-f1-s0-w4-d8-u850-
-  /// kspecialized-t0b0".
+  /// Canonical key string, e.g. "p1a2b3c4d5e6f708-f1-s0-w4-d8-u850-t0-b0".
   std::string id() const;
 
   friend bool operator==(const PlanKey &A, const PlanKey &B) {

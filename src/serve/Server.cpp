@@ -221,7 +221,6 @@ Server::CompileOutcome Server::compileForRequest(const Request &R) {
   PO.TemporalDegree = std::max(1, R.Options.TemporalDegree);
   PO.Partitioning.MaxDevices = R.Options.MaxDevices;
   PO.Partitioning.TargetUtilization = R.Options.TargetUtilization;
-  PO.Simulator.KernelExec = R.Options.KernelExec;
   PO.EmitCode = false;
 
   if (R.Options.Tune) {
@@ -279,7 +278,6 @@ Server::resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros) {
   Key.TemporalDegree = std::max(1, R.Options.TemporalDegree);
   Key.MaxDevices = R.Options.MaxDevices;
   Key.TargetUtilization = R.Options.TargetUtilization;
-  Key.KernelExec = R.Options.KernelExec;
   Key.Tuned = R.Options.Tune;
   Key.TuneBudget = R.Options.TuneBudget;
   std::string KeyId = Key.id();

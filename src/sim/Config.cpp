@@ -41,6 +41,9 @@ Error SimConfig::validate() const {
     return Invalid("NetworkLatencyCyclesPerHop must be non-negative");
   if (NetworkExtraChannelDepth < 0)
     return Invalid("NetworkExtraChannelDepth must be non-negative");
+  if (KernelExec == compute::KernelEngine::Batched)
+    return Invalid("KernelExec must be scalar, specialized or jit (batched "
+                   "is the effective tier of a specialized fallback)");
   if (MinChannelDepth < 1)
     return Invalid("MinChannelDepth must be at least 1 (a zero-capacity "
                    "channel can never transfer a vector)");

@@ -214,10 +214,11 @@ struct SimConfig {
   /// and every parallel shard use the selected tier. All tiers are
   /// bit-exact with each other (asserted by the engine parity suite), so
   /// the default is the fastest broadly-applicable one; Scalar remains
-  /// the reference implementation, Jit compiles each unit's tape to
+  /// the reference implementation, and Jit compiles each unit's tape to
   /// native code at machine-build time (falling back to Specialized when
-  /// no host compiler exists), and Auto picks a tier per unit. The
-  /// effective per-unit tiers appear in \c SimStats::UnitKernelTiers.
+  /// no host compiler exists). Batched is an effective tier only and
+  /// fails validate(). The effective per-unit tiers appear in
+  /// \c SimStats::UnitKernelTiers.
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
 
   /// Checks the configuration for inconsistent settings — the same rules

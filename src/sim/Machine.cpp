@@ -1329,7 +1329,7 @@ SimResult Machine::collectResult(int64_t FinalCycles) {
   Result.Stats.KernelExec = compute::kernelEngineName(Config.KernelExec);
   for (const Unit &U : Units) {
     // Record what actually runs, not what was requested: Specialized can
-    // degrade to Batched, Jit to Specialized, and Auto chooses per unit.
+    // degrade to Batched, and Jit to Specialized.
     compute::KernelEngine Effective = U.Eval.tier();
     if (Effective == compute::KernelEngine::Specialized)
       ++Result.Stats.SpecializedUnits;

@@ -141,13 +141,12 @@ struct SimStats {
   int64_t SerialFallbackCycles = 0;
   int64_t SkippedCycles = 0;
 
-  /// The *requested* kernel execution tier ("scalar", "batched",
-  /// "specialized", "jit", "auto") and how many stencil units actually ran
-  /// a matched weighted-sum specialization or a jitted tape. Requested and
-  /// effective tiers can differ per unit: the Specialized tier falls back
-  /// to the batched tape when no pattern matches, the Jit tier falls back
-  /// to Specialized when no host compiler is available, and Auto picks a
-  /// tier per unit by design.
+  /// The *requested* kernel execution tier ("scalar", "specialized",
+  /// "jit") and how many stencil units actually ran a matched weighted-sum
+  /// specialization or a jitted tape. Requested and effective tiers can
+  /// differ per unit: the Specialized tier falls back to the batched tape
+  /// when no pattern matches, and the Jit tier falls back to Specialized
+  /// when no host compiler is available.
   std::string KernelExec = "scalar";
   int64_t SpecializedUnits = 0;
   int64_t JittedUnits = 0;

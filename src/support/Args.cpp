@@ -93,7 +93,7 @@ const std::vector<ArgSpec> &cli::sessionFlagSpecs() {
       {"constrained-memory", "",
        "model the finite memory controller (default is ideal memory)"},
       {"kernel-engine", "E",
-       "kernel tier: scalar|batched|specialized|jit|auto"},
+       "kernel tier: scalar|specialized|jit"},
       {"parallel", "", "the epoch-synchronized parallel simulation engine"},
       {"threads", "N", "parallel-engine worker count (0 = per core)"},
       {"stall-timeout", "N", "progress watchdog threshold in cycles"},

@@ -196,8 +196,10 @@ public:
 private:
   std::string_view Text;
   size_t Pos = 0;
+  int Depth = 0; ///< Arrays/objects currently open.
 
-  Error error(const std::string &Message) const {
+  Error error(const std::string &Message,
+              ErrorCode Code = ErrorCode::Unknown) const {
     unsigned Line = 1, Column = 1;
     for (size_t I = 0; I < Pos && I < Text.size(); ++I) {
       if (Text[I] == '\n') {
@@ -207,7 +209,8 @@ private:
         ++Column;
       }
     }
-    return makeError(formatString("%u:%u: %s", Line, Column, Message.c_str()));
+    return makeError(Code,
+                     formatString("%u:%u: %s", Line, Column, Message.c_str()));
   }
 
   bool atEnd() const { return Pos >= Text.size(); }
@@ -243,9 +246,16 @@ private:
       return error("unexpected end of input");
     switch (peek()) {
     case '{':
-      return parseObject();
-    case '[':
-      return parseArray();
+    case '[': {
+      if (Depth == MaxNestingDepth)
+        return error(formatString("nesting deeper than %d levels",
+                                  MaxNestingDepth),
+                     ErrorCode::InvalidInput);
+      ++Depth;
+      Expected<Value> Nested = peek() == '{' ? parseObject() : parseArray();
+      --Depth;
+      return Nested;
+    }
     case '"':
       return parseString();
     case 't':

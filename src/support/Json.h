@@ -123,6 +123,10 @@ private:
       Storage;
 };
 
+/// Deepest array/object nesting parse() accepts. Deeper text fails with
+/// InvalidInput instead of exhausting the stack of the recursive parser.
+inline constexpr int MaxNestingDepth = 256;
+
 /// Parses JSON text. Errors include 1-based line:column positions.
 Expected<Value> parse(std::string_view Text);
 

@@ -92,10 +92,7 @@ public:
       : Program(Program), Base(Base) {}
 
   /// Prices \p Mapping. Infeasible candidates come back with
-  /// Feasible = false and a prune reason, not an error. The kernel-engine
-  /// axis is cost-invariant by design: every engine tier is bit-exact and
-  /// models the same hardware, so it changes how fast the testbed
-  /// evaluates a candidate, never the predicted cycles.
+  /// Feasible = false and a prune reason, not an error.
   CandidateCost cost(const CandidateMapping &Mapping) const;
 
 private:

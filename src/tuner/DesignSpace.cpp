@@ -20,10 +20,8 @@ std::string CandidateMapping::id() const {
   std::string Id =
       formatString("W%d-F%d-D%d-U%d", VectorWidth, FusionPairs, MaxDevices,
                    static_cast<int>(std::lround(TargetUtilization * 100)));
-  // Suffixes only appear for non-default values, keeping ids from the
+  // The suffix only appears for non-default values, keeping ids from the
   // original four-axis space (golden trajectories, saved reports) stable.
-  if (KernelExec != compute::KernelEngine::Specialized)
-    Id += formatString("-K%s", compute::kernelEngineName(KernelExec));
   if (TemporalDegree > 1)
     Id += formatString("-T%d", TemporalDegree);
   return Id;
@@ -161,11 +159,11 @@ Expected<DesignSpace> DesignSpace::enumerate(const StencilProgram &Program,
     return makeError(ErrorCode::InvalidInput,
                      "no candidate target utilization lies in (0, 1]");
 
-  // Temporal blocking degrees. Like the engine axis this defaults to a
-  // single value (the tuner substitutes its base configuration's degree),
-  // so the space only grows when the caller opts in. Degrees above 1
-  // replicate the pipeline through sdfg::unrollTimeSteps, which needs the
-  // program to declare time-loop bindings.
+  // Temporal blocking degrees. The axis defaults to a single value (the
+  // tuner substitutes its base configuration's degree), so the space only
+  // grows when the caller opts in. Degrees above 1 replicate the pipeline
+  // through sdfg::unrollTimeSteps, which needs the program to declare
+  // time-loop bindings.
   Space.Degrees = Options.TemporalDegrees.empty()
                       ? std::vector<int>{1}
                       : Options.TemporalDegrees;
@@ -177,48 +175,32 @@ Expected<DesignSpace> DesignSpace::enumerate(const StencilProgram &Program,
                      "program '%s' declares none",
                      Space.Degrees.back(), Program.Name.c_str()));
 
-  // Kernel execution tiers. The axis defaults to the single Specialized
-  // tier (the tuner substitutes its base configuration's tier), so the
-  // space only grows when the caller opts in.
-  Space.Engines = Options.KernelEngines.empty()
-                      ? std::vector<compute::KernelEngine>{
-                            compute::KernelEngine::Specialized}
-                      : Options.KernelEngines;
-  sortUnique(Space.Engines);
-
   // Materialize the cross product in lexicographic axis order.
   for (int W : Space.Widths)
     for (int F : Space.Levels)
       for (int D : Space.Devices)
         for (double U : Space.Utils)
           for (int T : Space.Degrees)
-            for (compute::KernelEngine K : Space.Engines)
-              Space.All.push_back(CandidateMapping{W, F, D, U, T, K});
+            Space.All.push_back(CandidateMapping{W, F, D, U, T});
   return Space;
 }
 
 CandidateMapping DesignSpace::at(size_t Wi, size_t Fi, size_t Di, size_t Ui,
-                                 size_t Ti, size_t Ki) const {
+                                 size_t Ti) const {
   assert(Wi < Widths.size() && Fi < Levels.size() && Di < Devices.size() &&
-         Ui < Utils.size() && Ti < Degrees.size() && Ki < Engines.size() &&
+         Ui < Utils.size() && Ti < Degrees.size() &&
          "axis index out of range");
-  return CandidateMapping{Widths[Wi],  Levels[Fi], Devices[Di],
-                          Utils[Ui],   Degrees[Ti], Engines[Ki]};
+  return CandidateMapping{Widths[Wi], Levels[Fi], Devices[Di], Utils[Ui],
+                          Degrees[Ti]};
 }
 
 void DesignSpace::closestIndices(const CandidateMapping &M,
-                                 size_t Index[6]) const {
+                                 size_t Index[5]) const {
   Index[0] = closestIndex(Widths, M.VectorWidth);
   Index[1] = closestIndex(Levels, M.FusionPairs);
   Index[2] = closestIndex(Devices, M.MaxDevices);
   Index[3] = closestIndex(Utils, M.TargetUtilization);
   Index[4] = closestIndex(Degrees, M.TemporalDegree);
-  // The engine axis is categorical: snap to the exact engine when present,
-  // else to the first axis value.
-  Index[5] = 0;
-  for (size_t I = 0; I != Engines.size(); ++I)
-    if (Engines[I] == M.KernelExec)
-      Index[5] = I;
 }
 
 Expected<StencilProgram>

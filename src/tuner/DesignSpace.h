@@ -58,16 +58,14 @@ struct CandidateMapping {
   /// compile half on the unrolled program.
   int TemporalDegree = 1;
 
-  /// Kernel execution tier the simulator uses for this candidate. Not a
-  /// hardware knob like the other axes, but it decides how fast the
-  /// testbed evaluates a candidate — and with Auto/Jit in the axis the
-  /// tuner can trade runtime-compile latency against steady-state speed.
+  /// Kernel execution tier the simulator runs this mapping with. Not a
+  /// mapping knob: every tier is cycle- and bit-exact, so the tuner copies
+  /// it from its base configuration and it takes no part in id() or ==.
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
 
   /// Stable identity, e.g. "W4-F2-D2-U85" (utilization in percent). A
-  /// "-K<engine>" suffix appears only for non-default engines and a
-  /// "-T<degree>" suffix only for degrees > 1, so ids from the smaller
-  /// spaces are unchanged.
+  /// "-T<degree>" suffix appears only for degrees > 1, so ids from the
+  /// smaller spaces are unchanged.
   std::string id() const;
 
   friend bool operator==(const CandidateMapping &A,
@@ -76,8 +74,7 @@ struct CandidateMapping {
            A.FusionPairs == B.FusionPairs &&
            A.MaxDevices == B.MaxDevices &&
            A.TargetUtilization == B.TargetUtilization &&
-           A.TemporalDegree == B.TemporalDegree &&
-           A.KernelExec == B.KernelExec;
+           A.TemporalDegree == B.TemporalDegree;
   }
 };
 
@@ -108,11 +105,6 @@ struct DesignSpaceOptions {
   /// caller opts in, e.g. sf_tune --temporal-degrees=1,2,4,8). Degrees
   /// above 1 require the program to declare time-loop bindings.
   std::vector<int> TemporalDegrees;
-
-  /// Candidate kernel execution tiers. Default: the single tier of the
-  /// base configuration (so the space does not grow unless the caller
-  /// opts in, e.g. sf_tune --kernel-engines=specialized,jit,auto).
-  std::vector<compute::KernelEngine> KernelEngines;
 };
 
 /// The enumerated candidate set plus its per-axis structure (the axes are
@@ -132,24 +124,20 @@ public:
   /// Number of pairs the aggressive fusion pass would fuse.
   int maxFusionPairs() const { return MaxPairs; }
 
-  /// The axes, each sorted ascending (engines by enum order).
+  /// The axes, each sorted ascending.
   const std::vector<int> &vectorWidths() const { return Widths; }
   const std::vector<int> &fusionLevels() const { return Levels; }
   const std::vector<int> &deviceCounts() const { return Devices; }
   const std::vector<double> &targetUtilizations() const { return Utils; }
   const std::vector<int> &temporalDegrees() const { return Degrees; }
-  const std::vector<compute::KernelEngine> &kernelEngines() const {
-    return Engines;
-  }
 
-  /// The candidate at axis indices (Wi, Fi, Di, Ui, Ti, Ki).
-  CandidateMapping at(size_t Wi, size_t Fi, size_t Di, size_t Ui, size_t Ti,
-                      size_t Ki) const;
+  /// The candidate at axis indices (Wi, Fi, Di, Ui, Ti).
+  CandidateMapping at(size_t Wi, size_t Fi, size_t Di, size_t Ui,
+                      size_t Ti) const;
 
   /// Axis indices of the candidate closest to \p M (each axis snaps to the
-  /// nearest value — the engine axis to an exact match, else index 0; used
-  /// to seed the beam search at the default mapping).
-  void closestIndices(const CandidateMapping &M, size_t Index[6]) const;
+  /// nearest value; used to seed the beam search at the default mapping).
+  void closestIndices(const CandidateMapping &M, size_t Index[5]) const;
 
 private:
   std::vector<CandidateMapping> All;
@@ -158,7 +146,6 @@ private:
   std::vector<int> Devices;
   std::vector<double> Utils;
   std::vector<int> Degrees;
-  std::vector<compute::KernelEngine> Engines;
   int MaxPairs = 0;
 };
 

@@ -30,27 +30,27 @@ bool stencilflow::tuner::rankByPrediction(const CandidateRecord &A,
 
 namespace {
 
-/// Linearizes/delinearizes axis indices over the 6D space so visited
+/// Linearizes/delinearizes axis indices over the 5D space so visited
 /// candidates dedup on a flat bitmap instead of string ids.
 struct AxisGrid {
-  size_t Sizes[6];
+  static constexpr int Axes = 5;
+  size_t Sizes[Axes];
 
   explicit AxisGrid(const DesignSpace &Space)
       : Sizes{Space.vectorWidths().size(), Space.fusionLevels().size(),
               Space.deviceCounts().size(),
               Space.targetUtilizations().size(),
-              Space.temporalDegrees().size(),
-              Space.kernelEngines().size()} {}
+              Space.temporalDegrees().size()} {}
 
-  size_t linearize(const size_t Index[6]) const {
+  size_t linearize(const size_t Index[Axes]) const {
     size_t Linear = Index[0];
-    for (int Axis = 1; Axis != 6; ++Axis)
+    for (int Axis = 1; Axis != Axes; ++Axis)
       Linear = Linear * Sizes[Axis] + Index[Axis];
     return Linear;
   }
 
-  void delinearize(size_t Linear, size_t Index[6]) const {
-    for (int Axis = 5; Axis != 0; --Axis) {
+  void delinearize(size_t Linear, size_t Index[Axes]) const {
+    for (int Axis = Axes - 1; Axis != 0; --Axis) {
       Index[Axis] = Linear % Sizes[Axis];
       Linear /= Sizes[Axis];
     }
@@ -76,11 +76,11 @@ public:
     if (Visited[Linear] || !budgetLeft())
       return false;
     Visited[Linear] = true;
-    size_t Index[6];
+    size_t Index[AxisGrid::Axes];
     Grid.delinearize(Linear, Index);
     CandidateRecord Record;
-    Record.Mapping = Space.at(Index[0], Index[1], Index[2], Index[3],
-                              Index[4], Index[5]);
+    Record.Mapping =
+        Space.at(Index[0], Index[1], Index[2], Index[3], Index[4]);
     Record.Cost = Model.cost(Record.Mapping);
     Record.Round = Round;
     Result.Records.push_back(std::move(Record));
@@ -126,7 +126,7 @@ stencilflow::tuner::searchDesignSpace(const DesignSpace &Space,
   Random Rng(Options.Seed);
 
   std::vector<size_t> Beam;
-  size_t Index[6];
+  size_t Index[AxisGrid::Axes];
   Space.closestIndices(Default, Index);
   Beam.push_back(Grid.linearize(Index));
   for (int Attempt = 0;
@@ -143,14 +143,14 @@ stencilflow::tuner::searchDesignSpace(const DesignSpace &Space,
     bool Expanded = false;
     for (size_t Linear : Beam) {
       Grid.delinearize(Linear, Index);
-      for (int Axis = 0; Axis != 6; ++Axis) {
+      for (int Axis = 0; Axis != AxisGrid::Axes; ++Axis) {
         for (int Step : {-1, +1}) {
           if (Step < 0 && Index[Axis] == 0)
             continue;
           if (Step > 0 && Index[Axis] + 1 >= Grid.Sizes[Axis])
             continue;
-          size_t Neighbor[6] = {Index[0], Index[1], Index[2],
-                                Index[3], Index[4], Index[5]};
+          size_t Neighbor[AxisGrid::Axes] = {Index[0], Index[1], Index[2],
+                                             Index[3], Index[4]};
           Neighbor[Axis] += Step;
           Expanded |= Exp.explore(Grid.linearize(Neighbor), Round);
         }

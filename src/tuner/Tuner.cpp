@@ -38,7 +38,6 @@ Expected<PipelineResult> runCandidate(const StencilProgram &Program,
   O.AllowMultiDevice = true; // The mapping's device budget governs.
   O.Partitioning.MaxDevices = Mapping.MaxDevices;
   O.Partitioning.TargetUtilization = Mapping.TargetUtilization;
-  O.Simulator.KernelExec = Mapping.KernelExec;
   O.Simulator.Trace = nullptr; // One tracer cannot record N runs at once.
   return runPipeline(Applied.takeValue(), O);
 }
@@ -61,12 +60,10 @@ Expected<TuningOutcome>
 stencilflow::tuner::tuneProgram(const StencilProgram &Program,
                                 const PipelineOptions &Base,
                                 const TuneOptions &Options) {
-  // The kernel-engine and temporal-degree axes default to the base
-  // configuration's values so the space (and every existing trajectory)
-  // is unchanged unless the caller opts into exploring them.
+  // The temporal-degree axis defaults to the base configuration's degree
+  // so the space (and every existing trajectory) is unchanged unless the
+  // caller opts into exploring it.
   DesignSpaceOptions SpaceOpts = Options.Space;
-  if (SpaceOpts.KernelEngines.empty())
-    SpaceOpts.KernelEngines = {Base.Simulator.KernelExec};
   if (SpaceOpts.TemporalDegrees.empty())
     SpaceOpts.TemporalDegrees = {std::max(1, Base.TemporalDegree)};
   Expected<DesignSpace> Space = DesignSpace::enumerate(
@@ -74,18 +71,15 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
   if (!Space)
     return Space.takeError().addContext("design space");
 
-  // The default mapping — unvectorized, unfused, base partitioning and
-  // kernel tier — snapped onto the enumerated axes so it is a point of
-  // the space.
-  size_t Index[6];
-  Space->closestIndices(
-      CandidateMapping{1, 0, Base.Partitioning.MaxDevices,
-                       Base.Partitioning.TargetUtilization,
-                       std::max(1, Base.TemporalDegree),
-                       Base.Simulator.KernelExec},
-      Index);
-  CandidateMapping Default = Space->at(Index[0], Index[1], Index[2],
-                                       Index[3], Index[4], Index[5]);
+  // The default mapping — unvectorized, unfused, base partitioning —
+  // snapped onto the enumerated axes so it is a point of the space.
+  size_t Index[5];
+  Space->closestIndices(CandidateMapping{1, 0, Base.Partitioning.MaxDevices,
+                                         Base.Partitioning.TargetUtilization,
+                                         std::max(1, Base.TemporalDegree)},
+                        Index);
+  CandidateMapping Default =
+      Space->at(Index[0], Index[1], Index[2], Index[3], Index[4]);
 
   CostModel Model(Program, Base);
   SearchResult Search =
@@ -110,6 +104,10 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
     Report.DefaultIndex = static_cast<int>(Report.Candidates.size());
     Report.Candidates.push_back(std::move(Record));
   }
+
+  // Every candidate runs under the base configuration's kernel tier.
+  for (CandidateRecord &R : Report.Candidates)
+    R.Mapping.KernelExec = Base.Simulator.KernelExec;
 
   Report.Explored = Report.Candidates.size();
   for (const CandidateRecord &R : Report.Candidates)

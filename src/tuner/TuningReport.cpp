@@ -120,8 +120,6 @@ void writeCandidate(json::JsonWriter &W, const CandidateRecord &R) {
   W.attribute("max_devices", R.Mapping.MaxDevices);
   W.attribute("target_utilization", R.Mapping.TargetUtilization);
   W.attribute("temporal_degree", R.Mapping.TemporalDegree);
-  W.attribute("kernel_engine",
-              compute::kernelEngineName(R.Mapping.KernelExec));
   W.attribute("round", R.Round);
   W.attribute("feasible", R.Cost.Feasible);
   if (!R.Cost.Feasible) {

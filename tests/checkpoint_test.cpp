@@ -495,14 +495,14 @@ TEST(CheckpointParityTest, ScalarKernelTier) {
                          /*MultiDevice=*/false, "scalar_tier");
 }
 
-TEST(CheckpointParityTest, AutoKernelTier) {
-  // Exercises per-unit tier selection (and the jit when a host compiler
-  // exists) across the snapshot boundary.
+TEST(CheckpointParityTest, JitKernelTier) {
+  // Exercises jitted units (or their Specialized fallback when no host
+  // compiler exists) across the snapshot boundary.
   SimConfig Config;
   Config.UnconstrainedMemory = true;
-  Config.KernelExec = compute::KernelEngine::Auto;
+  Config.KernelExec = compute::KernelEngine::Jit;
   expectKillResumeParity(laplace2d(12, 16, 4), Config,
-                         /*MultiDevice=*/false, "auto_tier");
+                         /*MultiDevice=*/false, "jit_tier");
 }
 
 TEST(CheckpointParityTest, WallClockCadenceSnapshots) {

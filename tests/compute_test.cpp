@@ -376,8 +376,7 @@ void expectDegenerateParity(const std::string &Source, DataType Type,
     std::vector<double> Want =
         evalTiered(*Unsimplified, KernelEngine::Scalar, Lanes);
     for (KernelEngine Engine :
-         {KernelEngine::Scalar, KernelEngine::Batched,
-          KernelEngine::Specialized, KernelEngine::Jit, KernelEngine::Auto})
+         {KernelEngine::Scalar, KernelEngine::Specialized, KernelEngine::Jit})
       for (const Kernel *K : {&*Unsimplified, &*Simplified}) {
         std::vector<double> Got = evalTiered(*K, Engine, Lanes);
         ASSERT_EQ(Got.size(), Want.size());

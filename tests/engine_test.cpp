@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Parity and tape-compilation tests for compute/Engine.h. The contract
-// under test: every tier (scalar, batched, specialized, jit — and the
-// per-unit auto mode) produces the SAME BITS as the reference
-// Kernel::evaluate interpreter, for every opcode, for NaN/Inf inputs, for
-// drain-padding zero lanes, and end-to-end through both simulation
-// engines. The jit tier is covered through the same helpers: when no host
-// compiler is available it degrades to specialized, so the parity
-// assertions still hold (the directed jit tests guard on
+// under test: every tier (scalar, specialized, jit — and the batched
+// interpreter specialized falls back to) produces the SAME BITS as the
+// reference Kernel::evaluate interpreter, for every opcode, for NaN/Inf
+// inputs, for drain-padding zero lanes, and end-to-end through both
+// simulation engines. The jit tier is covered through the same helpers:
+// when no host compiler is available it degrades to specialized, so the
+// parity assertions still hold (the directed jit tests guard on
 // jit::compilerAvailable() where the Jit tier itself is asserted).
 //
 //===----------------------------------------------------------------------===//
@@ -83,8 +83,10 @@ std::vector<double> evalTier(const Kernel &Krn, KernelEngine Tier, int Lanes,
   return Out;
 }
 
-/// Asserts all three tiers agree bit-for-bit with the reference
-/// interpreter on \p SoAInputs at width \p Lanes.
+/// Asserts every requestable tier agrees bit-for-bit with the reference
+/// interpreter on \p SoAInputs at width \p Lanes. Specialized runs the
+/// fused-tape interpreter (effective tier Batched) on tapes with no chain
+/// form, so this covers that interpreter too.
 void expectTierParity(const Kernel &Krn, int Lanes,
                       const std::vector<double> &SoAInputs,
                       const std::string &Context) {
@@ -99,8 +101,7 @@ void expectTierParity(const Kernel &Krn, int Lanes,
     Reference[static_cast<size_t>(Lane)] = Krn.evaluate(Column);
   }
   for (KernelEngine Tier :
-       {KernelEngine::Scalar, KernelEngine::Batched, KernelEngine::Specialized,
-        KernelEngine::Jit, KernelEngine::Auto}) {
+       {KernelEngine::Scalar, KernelEngine::Specialized, KernelEngine::Jit}) {
     std::vector<double> Out = evalTier(Krn, Tier, Lanes, SoAInputs);
     for (int Lane = 0; Lane != Lanes; ++Lane) {
       double Got = Out[static_cast<size_t>(Lane)];
@@ -247,8 +248,7 @@ template <class BuilderFn>
 void expectMachineParity(BuilderFn Build, const std::string &Context) {
   auto Reference =
       runMachine(Build(), KernelEngine::Scalar, sim::SimEngine::Serial);
-  for (KernelEngine Exec : {KernelEngine::Batched, KernelEngine::Specialized,
-                            KernelEngine::Jit, KernelEngine::Auto})
+  for (KernelEngine Exec : {KernelEngine::Specialized, KernelEngine::Jit})
     for (sim::SimEngine Engine :
          {sim::SimEngine::Serial, sim::SimEngine::Parallel}) {
       auto Outputs = runMachine(Build(), Exec, Engine);
@@ -273,14 +273,22 @@ void expectMachineParity(BuilderFn Build, const std::string &Context) {
 
 TEST(EngineTest, NameRoundTrip) {
   for (KernelEngine Engine :
-       {KernelEngine::Scalar, KernelEngine::Batched, KernelEngine::Specialized,
-        KernelEngine::Jit, KernelEngine::Auto}) {
+       {KernelEngine::Scalar, KernelEngine::Specialized, KernelEngine::Jit}) {
     auto Parsed = parseKernelEngine(kernelEngineName(Engine));
     ASSERT_TRUE(Parsed) << Parsed.message();
     EXPECT_EQ(*Parsed, Engine);
   }
-  EXPECT_FALSE(parseKernelEngine("vectorized"));
-  EXPECT_FALSE(parseKernelEngine(""));
+  // Batched keeps its report name but is not a request; the retired
+  // "auto" spelling and typos are typed input errors naming the choices.
+  EXPECT_STREQ(kernelEngineName(KernelEngine::Batched), "batched");
+  for (const char *Bad : {"batched", "auto", "vectorized", "JIT", ""}) {
+    auto Parsed = parseKernelEngine(Bad);
+    ASSERT_FALSE(Parsed) << Bad;
+    EXPECT_EQ(Parsed.code(), ErrorCode::InvalidInput) << Bad;
+    EXPECT_NE(Parsed.message().find("scalar, specialized, or jit"),
+              std::string::npos)
+        << Parsed.message();
+  }
 }
 
 TEST(EngineTest, TierReporting) {
@@ -362,17 +370,19 @@ TEST(EngineTest, CommutedConstChainSpecializes) {
 
 TEST(EngineTest, DeadRegisterElimination) {
   // "u" is never used: its Mul and the Const feeding it must vanish from
-  // the batched tape, leaving fewer ops than the kernel's instruction
-  // stream. Disable builder-side folding/CSE so the engine passes do the
-  // work themselves.
+  // the fused tape, leaving fewer ops than the kernel's instruction
+  // stream. The division has no chain form, so Specialized runs that tape
+  // on the batched interpreter. Disable the kernel compiler's own
+  // folding/CSE so the engine passes do the work themselves.
   KernelOptions Options;
   Options.EnableConstantFolding = false;
   Options.EnableCSE = false;
   Kernel Krn = compileKernel(
-      "t = a[0, 0] + 1.0; u = t * 3.0; out = t + a[0, 1];", {"a"}, Options);
-  KernelEvaluator Batched =
-      KernelEvaluator::compile(Krn, KernelEngine::Batched, 4);
-  EXPECT_LT(Batched.tapeLength(), Krn.instructions().size());
+      "t = a[0, 0] + 1.0; u = t * 3.0; out = t / a[0, 1];", {"a"}, Options);
+  KernelEvaluator Tape =
+      KernelEvaluator::compile(Krn, KernelEngine::Specialized, 4);
+  EXPECT_EQ(Tape.tier(), KernelEngine::Batched);
+  EXPECT_LT(Tape.tapeLength(), Krn.instructions().size());
 
   Random Rng(7);
   expectTierParity(Krn, 4, randomSoA(Rng, Krn.inputs().size(), 4, false),
@@ -381,15 +391,17 @@ TEST(EngineTest, DeadRegisterElimination) {
 
 TEST(EngineTest, ConstantFolding) {
   // With builder folding off, "2.0 * 3.0" survives into the kernel tape;
-  // the engine's fold pass must collapse it so the batched tape carries
-  // no arithmetic between constants.
+  // the engine's fold pass must collapse it so the fused tape carries no
+  // arithmetic between constants (the division keeps it off the chain
+  // evaluator, on the batched interpreter).
   KernelOptions Options;
   Options.EnableConstantFolding = false;
   Kernel Krn =
-      compileKernel("out = a[0, 0] + 2.0 * 3.0;", {"a"}, Options);
-  KernelEvaluator Batched =
-      KernelEvaluator::compile(Krn, KernelEngine::Batched, 4);
-  EXPECT_LT(Batched.tapeLength(), Krn.instructions().size());
+      compileKernel("out = a[0, 0] / (2.0 * 3.0);", {"a"}, Options);
+  KernelEvaluator Tape =
+      KernelEvaluator::compile(Krn, KernelEngine::Specialized, 4);
+  EXPECT_EQ(Tape.tier(), KernelEngine::Batched);
+  EXPECT_LT(Tape.tapeLength(), Krn.instructions().size());
 
   Random Rng(11);
   expectTierParity(Krn, 4, randomSoA(Rng, Krn.inputs().size(), 4, false),
@@ -417,6 +429,10 @@ TEST(EngineTest, AllOpcodesParity) {
       "out = t3 != 0.0 ? t5 / (t6 + 1.0) : t6 - t4;";
   for (DataType Type : {DataType::Float32, DataType::Float64}) {
     Kernel Krn = compileKernel(Source, {"a", "b"}, {}, Type);
+    // No chain form: Specialized covers the batched interpreter here.
+    ASSERT_EQ(
+        KernelEvaluator::compile(Krn, KernelEngine::Specialized, 8).tier(),
+        KernelEngine::Batched);
     Random Rng(Type == DataType::Float32 ? 101 : 202);
     for (int Lanes : {1, 4, 8})
       for (int Round = 0; Round != 8; ++Round)
@@ -468,12 +484,14 @@ TEST(EngineTest, RandomizedTapeParity) {
   // Random expression DAGs over the full opcode set, both element types,
   // special-value-heavy inputs. Each seed yields a different tape shape,
   // so collectively this sweeps fusion, chain-matching, folding, and DRE
-  // decisions against the reference interpreter.
+  // decisions against the reference interpreter — on both the chain
+  // evaluator and, for tapes with no chain form, the batched interpreter.
   //
   // Only the float types are exercised: casting NaN to an integer type is
   // undefined behavior in the (pre-existing) rounding rule for Int32 and
   // Int64 kernels, and those types never receive non-finite inputs in
   // real programs.
+  int Unchained = 0;
   for (uint64_t Seed = 0; Seed != 40; ++Seed) {
     Random Rng(Seed * 7919 + 1);
     std::string Expr = randomExpr(Rng, 4);
@@ -484,6 +502,9 @@ TEST(EngineTest, RandomizedTapeParity) {
     std::string Source = "out = " + Expr + ";";
     DataType Type = Seed % 2 ? DataType::Float64 : DataType::Float32;
     Kernel Krn = compileKernel(Source, {"a", "b"}, {}, Type);
+    Unchained +=
+        KernelEvaluator::compile(Krn, KernelEngine::Specialized, 4).tier() ==
+        KernelEngine::Batched;
     for (int Lanes : {1, 4, 8})
       expectTierParity(
           Krn, Lanes,
@@ -492,6 +513,7 @@ TEST(EngineTest, RandomizedTapeParity) {
                        static_cast<unsigned long long>(Seed), Lanes,
                        Source.c_str()));
   }
+  EXPECT_GT(Unchained, 0) << "no random tape reached the batched interpreter";
 }
 
 //===----------------------------------------------------------------------===//
@@ -559,7 +581,7 @@ TEST(EngineTest, JitSourceEmitsRoundingDiscipline) {
   // round-trip differently.
   Kernel Krn = compileKernel("out = a[0, 0] * 0.1 + a[0, 1];");
   KernelEvaluator Probe =
-      KernelEvaluator::compile(Krn, KernelEngine::Batched, 4);
+      KernelEvaluator::compile(Krn, KernelEngine::Specialized, 4);
   ASSERT_GT(Probe.tapeLength(), 0u);
   // Rebuild the fused tape the way compile() does is private; instead
   // golden-check emitTapeSource on a hand-made tape.
@@ -655,11 +677,6 @@ TEST(EngineTest, JitFallsBackWithoutCompiler) {
       KernelEvaluator::compile(Irregular, KernelEngine::Jit, 2);
   EXPECT_EQ(Tape.tier(), KernelEngine::Batched);
 
-  // Auto must also degrade without a compiler.
-  KernelEvaluator Auto =
-      KernelEvaluator::compile(Irregular, KernelEngine::Auto, 2);
-  EXPECT_NE(Auto.tier(), KernelEngine::Jit);
-
   Random Rng(1234);
   for (const Kernel *K : {&Chain, &Irregular})
     expectTierParity(*K, 2, randomSoA(Rng, K->inputs().size(), 2, false),
@@ -712,26 +729,6 @@ TEST(EngineTest, JitCompileTimeoutFallsBack) {
   Random Rng(5678);
   expectTierParity(Krn, 3, randomSoA(Rng, Krn.inputs().size(), 3, false),
                    "timeout fallback");
-}
-
-TEST(EngineTest, AutoSelectsPerKernel) {
-  // The per-kernel policy: trivial copies stay on the specialized chain
-  // (no compile spawned), substantial tapes prefer the jit when a
-  // compiler exists.
-  Kernel Copy = compileKernel("out = a[0, 0];");
-  KernelEvaluator Triv = KernelEvaluator::compile(Copy, KernelEngine::Auto, 8);
-  EXPECT_EQ(Triv.tier(), KernelEngine::Specialized);
-
-  Kernel Big = compileKernel(
-      "out = a[-1, 0] + a[1, 0] + a[0, -1] + a[0, 1] - 4.0 * a[0, 0];");
-  KernelEvaluator Chosen = KernelEvaluator::compile(Big, KernelEngine::Auto, 8);
-  if (jit::compilerAvailable()) {
-    EXPECT_EQ(Chosen.tier(), KernelEngine::Jit);
-  } else {
-    EXPECT_EQ(Chosen.tier(), KernelEngine::Specialized);
-  }
-  // tier() never reports the Auto mode itself.
-  EXPECT_NE(Chosen.tier(), KernelEngine::Auto);
 }
 
 TEST(EngineTest, MachineReportsKernelEngine) {

@@ -24,6 +24,7 @@
 #include "gtest/gtest.h"
 
 #include <dirent.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cmath>
@@ -42,13 +43,11 @@ std::string programText(const StencilProgram &Program) {
   return programToJson(Program).toString();
 }
 
-/// Options for in-test differential runs: never write reproducer files,
-/// keep the resume axis' scratch in a test-owned directory.
-DiffOptions quietOptions() {
-  DiffOptions Options;
-  Options.ScratchDir = "fuzz_test_scratch";
-  return Options;
-}
+/// Options for in-test differential runs: never write reproducer files.
+/// The resume axis' scratch stays at its default, a private mkdtemp
+/// directory per test process, so tests running in parallel never share
+/// snapshots.
+DiffOptions quietOptions() { return DiffOptions(); }
 
 int maxAccessRadius(const StencilProgram &Program) {
   int Max = 0;
@@ -293,6 +292,28 @@ TEST(FindingTest, ReproducerJsonRoundTrips) {
   EXPECT_EQ(Loaded->ExpectedCrc, Finding->ExpectedCrc);
   EXPECT_EQ(Loaded->ActualCrc, Finding->ActualCrc);
   EXPECT_EQ(programText(Loaded->Program), programText(Finding->Program));
+}
+
+TEST(FindingTest, ReproducersRejectRetiredKernelSpellings) {
+  for (const char *Kernel : {"batched", "auto"}) {
+    json::Object Config;
+    Config.set("kernel", json::Value(Kernel));
+    Expected<DiffConfig> Parsed = DiffConfig::fromJson(json::Value(Config));
+    ASSERT_FALSE(Parsed) << Kernel;
+    EXPECT_EQ(Parsed.code(), ErrorCode::InvalidInput) << Kernel;
+  }
+}
+
+TEST(DifferentialTest, DefaultScratchDirIsPrivatePerProcess) {
+  DiffOptions Options;
+  std::string Dir = Options.scratchDir();
+  EXPECT_EQ(Dir, DiffOptions().scratchDir()); // Stable within a process.
+  EXPECT_NE(Dir.find("sf_fuzz_scratch."), std::string::npos) << Dir;
+  struct stat Info;
+  ASSERT_EQ(::stat(Dir.c_str(), &Info), 0) << Dir;
+  EXPECT_TRUE(S_ISDIR(Info.st_mode));
+  Options.ScratchDir = "explicit";
+  EXPECT_EQ(Options.scratchDir(), "explicit");
 }
 
 TEST(FindingTest, ExitCodesRankFindingsBySeverity) {

@@ -18,6 +18,7 @@
 #include "common/TestPrograms.h"
 #include "frontend/ProgramLoader.h"
 #include "runtime/Session.h"
+#include "support/StringUtils.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -95,9 +96,6 @@ TEST(PlanKey, EveryKnobChangesTheKey) {
   K.TargetUtilization = 0.5;
   Ids.insert(K.id());
   K = Base;
-  K.KernelExec = compute::KernelEngine::Jit;
-  Ids.insert(K.id());
-  K = Base;
   K.Tuned = true;
   Ids.insert(K.id());
   K = Base;
@@ -108,8 +106,8 @@ TEST(PlanKey, EveryKnobChangesTheKey) {
   K.TemporalDegree = 4;
   Ids.insert(K.id());
 
-  // Eleven distinct configurations, eleven distinct keys.
-  EXPECT_EQ(Ids.size(), 11u);
+  // Ten distinct configurations, ten distinct keys.
+  EXPECT_EQ(Ids.size(), 10u);
   // And the encoding is stable: rebuilding the base key reproduces it.
   EXPECT_EQ(PlanKey{Base}.id(), Base.id());
   // Degree 1 leaves the id untouched, so keys of temporally-unblocked
@@ -165,26 +163,25 @@ TEST(ServeCache, RepeatRequestHitsAnyKnobChangeMisses) {
   FewerDevices.Options.MaxDevices = 2;
   Request Hotter = laplaceRequest("r7");
   Hotter.Options.TargetUtilization = 0.95;
-  Request Scalar = laplaceRequest("r8");
-  Scalar.Options.KernelExec = compute::KernelEngine::Scalar;
-  Request Tuned = laplaceRequest("r9");
+  Request Tuned = laplaceRequest("r8");
   Tuned.Options.Tune = true;
   Tuned.Options.TuneBudget = 4;
   for (Request *R :
-       {&Fused, &Simplified, &Vectorized, &FewerDevices, &Hotter, &Scalar,
-        &Tuned}) {
+       {&Fused, &Simplified, &Vectorized, &FewerDevices, &Hotter, &Tuned}) {
     Response Out = S.handle(std::move(*R));
     ASSERT_TRUE(Out.Ok) << Out.Id << ": " << Out.ErrorMessage;
     EXPECT_FALSE(*Out.CacheHit) << Out.Id;
   }
 
   // ...while execution-only knobs reuse the cached plan.
-  Request Parallel = laplaceRequest("r10");
+  Request Parallel = laplaceRequest("r9");
   Parallel.Options.Engine = "parallel";
   Parallel.Options.Threads = 2;
-  Request Unvalidated = laplaceRequest("r11");
+  Request Unvalidated = laplaceRequest("r10");
   Unvalidated.Options.Validate = false;
-  for (Request *R : {&Parallel, &Unvalidated}) {
+  Request Scalar = laplaceRequest("r11");
+  Scalar.Options.KernelExec = compute::KernelEngine::Scalar;
+  for (Request *R : {&Parallel, &Unvalidated, &Scalar}) {
     Response Out = S.handle(std::move(*R));
     ASSERT_TRUE(Out.Ok) << Out.Id << ": " << Out.ErrorMessage;
     EXPECT_TRUE(*Out.CacheHit) << Out.Id;
@@ -193,8 +190,37 @@ TEST(ServeCache, RepeatRequestHitsAnyKnobChangeMisses) {
   ServeStats Stats = S.stats();
   EXPECT_EQ(Stats.Received, 11);
   EXPECT_EQ(Stats.Completed, 11);
-  EXPECT_EQ(Stats.CacheHits, 3);
-  EXPECT_EQ(Stats.CacheMisses, 8);
+  EXPECT_EQ(Stats.CacheHits, 4);
+  EXPECT_EQ(Stats.CacheMisses, 7);
+  S.stop();
+}
+
+TEST(ServeCache, KernelTierSharesOnePlan) {
+  // The compile half never reads the kernel tier; the server applies it
+  // at execution time. Two requests differing only in kernel_engine
+  // share one plan, run their own tier, and agree bit for bit.
+  Server S(testOptions());
+  S.start();
+  Request Jit = laplaceRequest("jit");
+  Jit.Options.KernelExec = compute::KernelEngine::Jit;
+  Request Scalar = laplaceRequest("scalar");
+  Scalar.Options.KernelExec = compute::KernelEngine::Scalar;
+
+  Response First = S.handle(std::move(Jit));
+  ASSERT_TRUE(First.Ok) << First.ErrorMessage;
+  EXPECT_FALSE(*First.CacheHit);
+  Response Second = S.handle(std::move(Scalar));
+  ASSERT_TRUE(Second.Ok) << Second.ErrorMessage;
+  EXPECT_TRUE(*Second.CacheHit);
+  EXPECT_EQ(Second.CompileMicros, 0);
+
+  EXPECT_EQ(First.OutputsCrc, Second.OutputsCrc);
+  EXPECT_EQ(First.Cycles, Second.Cycles);
+  EXPECT_EQ(Second.KernelTiers, "scalar x1");
+  EXPECT_NE(First.KernelTiers, Second.KernelTiers);
+  ServeStats Stats = S.stats();
+  EXPECT_EQ(Stats.CacheMisses, 1);
+  EXPECT_EQ(Stats.CacheHits, 1);
   S.stop();
 }
 
@@ -450,6 +476,44 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   // Non-run ops need no program.
   EXPECT_TRUE(Request::fromJsonText("{\"op\":\"stats\"}"));
   EXPECT_TRUE(Request::fromJsonText("{\"op\":\"ping\"}"));
+}
+
+TEST(ServeProtocol, KernelEngineAcceptsExactlyTheRequestableTiers) {
+  for (const char *Tier : {"scalar", "specialized", "jit"}) {
+    Expected<Request> R = Request::fromJsonText(
+        formatString("{\"op\":\"run\",\"program\":{},"
+                     "\"options\":{\"kernel_engine\":\"%s\"}}",
+                     Tier));
+    ASSERT_TRUE(R) << Tier << ": " << R.message();
+    EXPECT_STREQ(compute::kernelEngineName(R->Options.KernelExec), Tier);
+  }
+  // The retired spellings and typos answer a typed error.
+  for (const char *Tier : {"batched", "auto", "Specialized"}) {
+    Expected<Request> R = Request::fromJsonText(
+        formatString("{\"op\":\"run\",\"program\":{},"
+                     "\"options\":{\"kernel_engine\":\"%s\"}}",
+                     Tier));
+    ASSERT_FALSE(R) << Tier;
+    EXPECT_EQ(R.code(), ErrorCode::InvalidInput) << Tier;
+  }
+}
+
+TEST(ServeProtocol, DeeplyNestedLineFailsTypedAndServingContinues) {
+  // One hostile line of 200k nested arrays once overflowed the recursive
+  // JSON parser's stack and killed the daemon.
+  Server S(testOptions());
+  S.start();
+  Expected<Request> Deep = Request::fromJsonText(std::string(200000, '['));
+  ASSERT_FALSE(Deep);
+  EXPECT_EQ(Deep.code(), ErrorCode::InvalidInput);
+  Response Reply = Response::failure("", Deep.takeError());
+  EXPECT_FALSE(Reply.Ok);
+  EXPECT_NE(Reply.toJsonText().find("invalid-input"), std::string::npos);
+
+  // The next request on the same server is served normally.
+  Response Next = S.handle(laplaceRequest("after-deep"));
+  EXPECT_TRUE(Next.Ok) << Next.ErrorMessage;
+  S.stop();
 }
 
 TEST(ServeProtocol, ResponseRoundTripPreservesCrcAndErrors) {

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/SessionArgs.h"
+#include "support/Args.h"
 #include "support/CommandLine.h"
 #include "support/Error.h"
 #include "support/Json.h"
@@ -189,6 +191,29 @@ TEST(JsonTest, DeepCopySemantics) {
   EXPECT_EQ(Copy.getObject().get("a")->getObject().get("b")->getInteger(), 2);
 }
 
+TEST(JsonTest, NestingDepthIsBounded) {
+  // The deepest accepted document parses; one level more is a typed
+  // input error, not a stack overflow, for arrays and objects alike.
+  std::string Deepest = std::string(json::MaxNestingDepth, '[') +
+                        std::string(json::MaxNestingDepth, ']');
+  EXPECT_TRUE(json::parse(Deepest));
+  for (const std::string &Text :
+       {std::string(json::MaxNestingDepth + 1, '[') +
+            std::string(json::MaxNestingDepth + 1, ']'),
+        std::string(200000, '['), [] {
+          std::string Objects;
+          for (int I = 0; I != 100000; ++I)
+            Objects += "{\"a\":";
+          return Objects;
+        }()}) {
+    Expected<json::Value> V = json::parse(Text);
+    ASSERT_FALSE(V);
+    EXPECT_EQ(V.code(), ErrorCode::InvalidInput);
+    EXPECT_NE(V.message().find("nesting deeper than"), std::string::npos)
+        << V.message();
+  }
+}
+
 TEST(JsonTest, UnicodeEscapes) {
   auto Parsed = json::parse("\"\\u0041\\u00e9\"");
   ASSERT_TRUE(Parsed);
@@ -242,6 +267,38 @@ TEST(CommandLineTest, ParsesFlagsAndPositional) {
 TEST(CommandLineTest, RejectsUnknownFlag) {
   const char *Argv[] = {"prog", "--bogus=1"};
   EXPECT_FALSE(CommandLine::parse(2, Argv, {"size"}));
+}
+
+TEST(CommandLineTest, RetiredKernelSpellingsAreRejected) {
+  // --kernel-engines (the removed tuner axis) is an unknown flag on the
+  // shared session + tuner flag surface.
+  cli::ArgSet Spec("tool", "test");
+  Spec.pack(cli::sessionFlagSpecs()).pack(cli::tuneFlagSpecs());
+  const char *Axis[] = {"tool", "--kernel-engines", "specialized,jit"};
+  auto Parsed = Spec.parse(3, Axis);
+  ASSERT_FALSE(Parsed);
+  EXPECT_NE(Parsed.message().find("unknown flag '--kernel-engines'"),
+            std::string::npos)
+      << Parsed.message();
+
+  // --kernel-engine accepts exactly scalar|specialized|jit; the retired
+  // spellings are typed input errors when applied to a session.
+  for (const char *Tier : {"batched", "auto"}) {
+    const char *Argv[] = {"tool", "--kernel-engine", Tier};
+    auto Args = Spec.parse(3, Argv);
+    ASSERT_TRUE(Args) << Args.message();
+    Session S = Session::fromProgram(StencilProgram());
+    Error Err = cli::applySessionArgs(S, *Args);
+    ASSERT_TRUE(Err) << Tier;
+    EXPECT_EQ(Err.code(), ErrorCode::InvalidInput) << Tier;
+  }
+  const char *Good[] = {"tool", "--kernel-engine", "jit"};
+  auto Args = Spec.parse(3, Good);
+  ASSERT_TRUE(Args) << Args.message();
+  Session S = Session::fromProgram(StencilProgram());
+  EXPECT_FALSE(cli::applySessionArgs(S, *Args));
+  EXPECT_EQ(S.pipelineOptions().Simulator.KernelExec,
+            compute::KernelEngine::Jit);
 }
 
 TEST(CommandLineTest, DefaultsApply) {

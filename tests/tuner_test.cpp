@@ -114,64 +114,19 @@ TEST(TunerTest, DesignSpaceRespectsDivisibilityAndCaps) {
   EXPECT_EQ(Space->vectorWidths(), (std::vector<int>{1, 2, 4}));
   for (int D : Space->deviceCounts())
     EXPECT_LE(D, 4);
-  // Without an explicit engine or temporal axis the space keeps a single
-  // tier and degree 1, so its size (and every candidate id) is unchanged
-  // from the 4-axis days.
-  EXPECT_EQ(Space->kernelEngines(),
-            (std::vector<compute::KernelEngine>{
-                compute::KernelEngine::Specialized}));
+  // Without an explicit temporal axis the space keeps degree 1, so its
+  // size (and every candidate id) is unchanged from the 4-axis days.
   EXPECT_EQ(Space->temporalDegrees(), (std::vector<int>{1}));
   EXPECT_EQ(Space->size(), Space->vectorWidths().size() *
                                Space->fusionLevels().size() *
                                Space->deviceCounts().size() *
                                Space->targetUtilizations().size() *
-                               Space->temporalDegrees().size() *
-                               Space->kernelEngines().size());
+                               Space->temporalDegrees().size());
   // Enumeration order is deterministic lexicographic.
   std::vector<std::string> Ids;
   for (const CandidateMapping &M : Space->candidates())
     Ids.push_back(M.id());
   EXPECT_TRUE(std::adjacent_find(Ids.begin(), Ids.end()) == Ids.end());
-}
-
-TEST(TunerTest, KernelEngineAxisExpandsTheSpace) {
-  StencilProgram P = workloads::diffusion2dChain(2, 16, 12);
-  DesignSpaceOptions Options;
-  Options.KernelEngines = {compute::KernelEngine::Specialized,
-                           compute::KernelEngine::Jit,
-                           compute::KernelEngine::Auto};
-  Expected<DesignSpace> Space =
-      DesignSpace::enumerate(P, Options, /*MaxDevicesCap=*/4);
-  ASSERT_TRUE(Space) << Space.message();
-  EXPECT_EQ(Space->kernelEngines().size(), 3u);
-  EXPECT_EQ(Space->size(), Space->vectorWidths().size() *
-                               Space->fusionLevels().size() *
-                               Space->deviceCounts().size() *
-                               Space->targetUtilizations().size() * 3u);
-  // Ids stay unique, and only non-default engines carry the -K suffix —
-  // the specialized candidates keep their golden 4-axis ids.
-  std::vector<std::string> Ids;
-  size_t Suffixed = 0;
-  for (const CandidateMapping &M : Space->candidates()) {
-    Ids.push_back(M.id());
-    bool HasSuffix = M.id().find("-K") != std::string::npos;
-    EXPECT_EQ(HasSuffix,
-              M.KernelExec != compute::KernelEngine::Specialized)
-        << M.id();
-    Suffixed += HasSuffix ? 1 : 0;
-  }
-  EXPECT_EQ(Suffixed, Space->size() / 3 * 2);
-  std::sort(Ids.begin(), Ids.end());
-  EXPECT_TRUE(std::adjacent_find(Ids.begin(), Ids.end()) == Ids.end());
-
-  // closestIndices snaps the engine axis to an exact match.
-  size_t Index[6];
-  Space->closestIndices(
-      CandidateMapping{1, 0, 1, 0.85, 1, compute::KernelEngine::Auto},
-      Index);
-  EXPECT_EQ(Space->at(Index[0], Index[1], Index[2], Index[3], Index[4],
-                      Index[5]).KernelExec,
-            compute::KernelEngine::Auto);
 }
 
 TEST(TunerTest, TemporalDegreeAxisExpandsTheSpace) {
@@ -201,13 +156,12 @@ TEST(TunerTest, TemporalDegreeAxisExpandsTheSpace) {
   EXPECT_TRUE(std::adjacent_find(Ids.begin(), Ids.end()) == Ids.end());
 
   // closestIndices snaps the degree axis to the nearest value.
-  size_t Index[6];
-  Space->closestIndices(
-      CandidateMapping{1, 0, 1, 0.85, 4, compute::KernelEngine::Specialized},
-      Index);
-  EXPECT_EQ(Space->at(Index[0], Index[1], Index[2], Index[3], Index[4],
-                      Index[5]).TemporalDegree,
-            4);
+  size_t Index[5];
+  Space->closestIndices(CandidateMapping{1, 0, 1, 0.85, 4}, Index);
+  EXPECT_EQ(
+      Space->at(Index[0], Index[1], Index[2], Index[3], Index[4])
+          .TemporalDegree,
+      4);
 
   // applyMapping unrolls: a degree-4 mapping quadruples the node count
   // (diffusion2dChain(2) has no dead copies — both steps feed the chain).
@@ -291,28 +245,31 @@ TEST(TunerTest, ExplicitAxisVectorsRejectMalformedEntries) {
   EXPECT_EQ(Space->deviceCounts(), (std::vector<int>{1}));
 }
 
-TEST(TunerTest, TunesAcrossKernelEngineAxis) {
-  // End-to-end with the engine axis opted in: the tuned plan must carry a
-  // concrete engine, the report serializes it per candidate, and the run
-  // validates. The axis multiplies the space, so keep the budget small.
+TEST(TunerTest, CandidatesRunUnderTheBaseKernelTier) {
+  // The kernel tier is not a mapping axis: a scalar-tier base must give
+  // the same trajectory, ids and winner as the default tier, with every
+  // candidate carrying the base tier and the report no per-candidate
+  // tier attribute.
   TuneOptions Opts;
   Opts.Search.CandidateBudget = 12;
   Opts.TopK = 2;
-  Opts.Space.KernelEngines = {compute::KernelEngine::Specialized,
-                              compute::KernelEngine::Auto};
-  TuningOutcome Out = tuneOrDie(smallDiffusion(), Opts);
-  EXPECT_TRUE(Out.BestRun.ValidationPassed);
-  bool SawEngine = false;
-  for (const CandidateRecord &R : Out.Report.Candidates)
-    SawEngine |= R.Mapping.KernelExec != compute::KernelEngine::Specialized;
-  // The beam explores both engine values of at least one neighborhood.
-  EXPECT_TRUE(SawEngine);
+  TuningOutcome Default = tuneOrDie(smallDiffusion(), Opts);
+  PipelineOptions Base = baseOptions();
+  Base.Simulator.KernelExec = compute::KernelEngine::Scalar;
+  TuningOutcome Scalar = tuneOrDie(smallDiffusion(), Opts, Base);
+  EXPECT_TRUE(Scalar.BestRun.ValidationPassed);
+  EXPECT_EQ(Scalar.Best.KernelExec, compute::KernelEngine::Scalar);
+  EXPECT_EQ(trajectoryOf(Scalar.Report), trajectoryOf(Default.Report));
+  for (const CandidateRecord &R : Scalar.Report.Candidates) {
+    EXPECT_EQ(R.Mapping.id().find("-K"), std::string::npos) << R.Mapping.id();
+    EXPECT_EQ(R.Mapping.KernelExec, compute::KernelEngine::Scalar);
+  }
 
-  Expected<json::Value> Doc = json::parse(Out.Report.toJson());
+  Expected<json::Value> Doc = json::parse(Scalar.Report.toJson());
   ASSERT_TRUE(Doc) << Doc.message();
   for (const json::Value &V :
        Doc->getObject().get("candidates")->getArray())
-    EXPECT_TRUE(V.getObject().contains("kernel_engine"));
+    EXPECT_FALSE(V.getObject().contains("kernel_engine"));
 }
 
 TEST(TunerTest, TunesAcrossTemporalDegreeAxis) {
